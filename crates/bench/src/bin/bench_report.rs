@@ -464,8 +464,8 @@ fn routing_serve_config(model: &TransformerModel, streams_per_group: usize) -> S
 
 /// Aggregate tok/s of `ROUTING_STREAMS` streams spread over `groups` groups,
 /// every group ticking on its own thread — the sharding payoff the router
-/// exists to unlock (one group serializes all streams behind one engine
-/// worker; N groups are N independent workers).
+/// exists to unlock (one group ticks all of its streams on one thread; N
+/// groups tick on N threads).
 fn run_routing_throughput(model: &TransformerModel, groups: usize) -> f64 {
     let vocab = model.config().vocab_size as u32;
     let mut router = Router::with_uniform_groups(

@@ -825,6 +825,17 @@ impl<'m> DecodeContext<'m> {
         self.history.clear();
     }
 
+    /// [`DecodeContext::reset`] for a stream that is done with this context:
+    /// also frees the attention scratch and the token-history capacity, which
+    /// `reset` keeps so a re-prefill can reuse them. A serving layer holding
+    /// finished, cancelled or migrated slots calls this so they pin no
+    /// memory. The context stays usable; its buffers grow again on demand.
+    pub fn release(&mut self) {
+        self.reset();
+        self.scratch = AttnScratch::new();
+        self.history = Vec::new();
+    }
+
     /// Feeds the next `tokens` through the model in one batched incremental pass,
     /// returning the `tokens.len() × vocab` logits of the new positions. Called
     /// once with the whole prompt this is the prefill phase; [`DecodeContext::step`]
@@ -1254,6 +1265,38 @@ mod tests {
         // A mismatched pool width is a shape error.
         let narrow = KvBlockPool::shared(64, 8, 16);
         assert!(model.start_decode_in(&narrow).is_err());
+    }
+
+    #[test]
+    fn release_frees_pages_scratch_and_history_and_stays_usable() {
+        use crate::paging::KvBlockPool;
+        let model = tiny_model();
+        let pool = KvBlockPool::shared(
+            model.config().max_seq_len * model.config().num_blocks,
+            8,
+            model.config().embedding_dim,
+        );
+        let mut context = model.start_decode_in(&pool).unwrap();
+        context
+            .prefill(&[1, 2, 3], &mut ReferenceNormalizer::new())
+            .unwrap();
+        context.step(4, &mut ReferenceNormalizer::new()).unwrap();
+        assert!(context.scratch_capacity() > 0);
+        assert!(pool.pages_in_use() > 0);
+        context.release();
+        assert_eq!(pool.pages_in_use(), 0);
+        assert_eq!(context.scratch_capacity(), 0, "scratch is dropped");
+        assert!(context.is_empty());
+        assert!(context.resident_tokens().is_empty());
+        assert_eq!(context.history.capacity(), 0, "history capacity is dropped");
+        // A released context decodes again, bit-identical to the oracle.
+        let logits = context
+            .prefill_last(&[5, 6], &mut ReferenceNormalizer::new())
+            .unwrap();
+        let oracle = model
+            .logits(&[5, 6], &mut ReferenceNormalizer::new())
+            .unwrap();
+        assert_eq!(logits.as_slice(), oracle.row(1));
     }
 
     #[test]

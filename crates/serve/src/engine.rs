@@ -9,8 +9,8 @@ use crate::scheduler::{BatchKey, ReadyBatch, Scheduler, SchedulerPolicy};
 use crate::session::Session;
 use crate::telemetry::{Recorder, ServingStats};
 use haan::{AnchorState, HaanConfig, HaanNormalizer, SkipPlan};
-use haan_llm::norm::Normalizer;
-use haan_llm::{KvBlockPool, Matrix};
+use haan_llm::norm::{NormSite, Normalizer};
+use haan_llm::{KvBlockPool, LlmError, Matrix};
 use haan_obs::{EventKind, FaultKind, ObsEvent, ObsSink};
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -43,11 +43,13 @@ const IDLE_TICK_US: u64 = 2_000;
 /// ```
 #[derive(Debug, Clone)]
 pub struct ServeConfig {
-    /// The HAAN configuration of the engine's shared normalizer. Use
+    /// The HAAN configuration of the worker's shared normalizer and of the
+    /// normalizer each decode group owns. Use
     /// [`BackendSelection::Fused`](haan::BackendSelection) for deterministic
     /// parity with direct `normalize_matrix_into` calls.
     pub normalizer: HaanConfig,
-    /// Calibrated skip plan attached to the shared normalizer, if any.
+    /// Calibrated skip plan attached to every normalizer the engine builds, if
+    /// any.
     pub plan: Option<SkipPlan>,
     /// Coalescing policy of the request-batching scheduler.
     pub scheduler: SchedulerPolicy,
@@ -75,13 +77,14 @@ pub struct ServeConfig {
     /// Bounded-retry policy of the worker's batch dispatch (see [`RetryPolicy`]).
     pub retry: RetryPolicy,
     /// Optional deterministic fault injector, threaded through pool allocation
-    /// and the worker's batch dispatch (see [`crate::faults`]). `None` in
+    /// and the worker's batch dispatch (see [`crate::faults`]; decode-group
+    /// ticks do not use the worker, so they see pool faults only). `None` in
     /// production; chaos drills install a
     /// [`SeededFaults`](crate::SeededFaults).
     pub faults: Option<Arc<dyn FaultInjector>>,
     /// Optional observability sink (see [`haan_obs`]): when installed it is
     /// threaded through the worker loop, the admission controller, every K/V
-    /// pool, the shared normalizer, and every decode group this engine starts
+    /// pool, every normalizer, and every decode group this engine starts
     /// — metrics, flight-recorder events, and span timings all flow into it.
     /// `None` (the default) keeps every instrumentation site a single branch.
     pub obs: Option<Arc<dyn ObsSink>>,
@@ -230,6 +233,45 @@ impl Shared {
         self.worker_alive.load(Ordering::SeqCst)
     }
 
+    /// Records one executed normalization dispatch in the engine's ledger:
+    /// [`ServingStats`], the `serve.batches/requests/rows` counters, the
+    /// `serve.phase.normalize_ns` and `serve.queue_wait_us` histograms, and a
+    /// `batch_dispatch` event. One queue wait per member request. The worker
+    /// records each coalesced batch here; a decode group records each site
+    /// call as one request with zero queue wait.
+    pub(crate) fn record_dispatch(
+        &self,
+        rows: usize,
+        cols: usize,
+        exec_ns: u64,
+        queue_waits_us: &[u64],
+    ) {
+        let requests = queue_waits_us.len() as u64;
+        self.recorder.record_batch(
+            requests,
+            rows as u64,
+            (rows * cols) as u64,
+            exec_ns,
+            queue_waits_us.iter().copied(),
+        );
+        if let Some(obs) = &self.obs {
+            obs.record("serve.phase.normalize_ns", exec_ns);
+            obs.counter_add("serve.batches", 1);
+            obs.counter_add("serve.requests", requests);
+            obs.counter_add("serve.rows", rows as u64);
+            for &wait in queue_waits_us {
+                obs.record("serve.queue_wait_us", wait);
+            }
+        }
+        self.emit(
+            None,
+            EventKind::BatchDispatch {
+                requests,
+                rows: rows as u64,
+            },
+        );
+    }
+
     /// FNV-1a over the parameter bit patterns, used only to bucket the intern table
     /// (and the sessions' lock-free memo of it).
     pub(crate) fn params_fingerprint(gamma: &[f32], beta: &[f32]) -> u64 {
@@ -265,6 +307,88 @@ impl Shared {
         );
         bucket.push(Arc::clone(&interned));
         interned
+    }
+}
+
+/// A [`HaanNormalizer`] called directly on the caller's thread, with each
+/// site call recorded in the engine's ledger as one dispatch of one request
+/// with zero queue wait ([`Shared::record_dispatch`]). This is how decode
+/// groups and prefix interning normalize: no request copy, no channel hop,
+/// no coalescing wait, and the fused residual+norm and norm+matmul kernels
+/// run in place. A norm+matmul call's recorded time includes its matmuls.
+pub(crate) struct RecordedNormalizer<'a> {
+    pub(crate) normalizer: &'a mut HaanNormalizer,
+    pub(crate) shared: &'a Shared,
+}
+
+impl RecordedNormalizer<'_> {
+    fn timed<T>(
+        &mut self,
+        rows: usize,
+        cols: usize,
+        call: impl FnOnce(&mut HaanNormalizer) -> T,
+    ) -> T {
+        let started = Instant::now();
+        let out = call(self.normalizer);
+        self.shared
+            .record_dispatch(rows, cols, ns_since(started), &[0]);
+        out
+    }
+}
+
+impl Normalizer for RecordedNormalizer<'_> {
+    fn normalize(&mut self, site: NormSite, z: &[f32], gamma: &[f32], beta: &[f32]) -> Vec<f32> {
+        self.timed(1, z.len(), |n| n.normalize(site, z, gamma, beta))
+    }
+
+    fn normalize_matrix_into(
+        &mut self,
+        site: NormSite,
+        input: &Matrix,
+        gamma: &[f32],
+        beta: &[f32],
+        out: &mut Matrix,
+    ) {
+        self.timed(input.rows(), input.cols(), |n| {
+            n.normalize_matrix_into(site, input, gamma, beta, out);
+        });
+    }
+
+    fn normalize_residual_into(
+        &mut self,
+        site: NormSite,
+        input: &Matrix,
+        residual: &Matrix,
+        gamma: &[f32],
+        beta: &[f32],
+        sum_out: &mut Matrix,
+        out: &mut Matrix,
+    ) {
+        self.timed(input.rows(), input.cols(), |n| {
+            n.normalize_residual_into(site, input, residual, gamma, beta, sum_out, out);
+        });
+    }
+
+    fn normalize_matmul_into(
+        &mut self,
+        site: NormSite,
+        input: &Matrix,
+        gamma: &[f32],
+        beta: &[f32],
+        weights: &[&Matrix],
+        outs: &mut [Matrix],
+    ) -> Result<(), LlmError> {
+        self.timed(input.rows(), input.cols(), |n| {
+            n.normalize_matmul_into(site, input, gamma, beta, weights, outs)
+        })
+    }
+
+    fn begin_sequence(&mut self) {
+        self.normalizer.begin_sequence();
+    }
+
+    fn description(&self) -> String {
+        self.normalizer.description()
     }
 }
 
@@ -320,8 +444,10 @@ pub(crate) fn submit_via(
 /// queue; a worker thread coalesces compatible requests — same site, same width,
 /// same interned parameters — into one batched `normalize_matrix_into` call per
 /// scheduler tick and routes the per-row results back to each submitter, together
-/// with its updated skip-anchor state. See `ARCHITECTURE.md` ("Serving layer") for
-/// the data-flow diagram.
+/// with its updated skip-anchor state. Decode groups bypass the worker: each
+/// owns a normalizer built from the same configuration and records its site
+/// calls in the same ledger ([`ServeEngine::stats`]). See `ARCHITECTURE.md`
+/// ("Serving layer") for the data-flow diagram.
 pub struct ServeEngine {
     shared: Arc<Shared>,
     tx: SyncSender<WorkItem>,
@@ -341,6 +467,10 @@ pub struct ServeEngine {
     prefixes: haan_llm::PrefixStore,
     /// Fault injector installed into every pool this engine creates.
     faults: Option<Arc<dyn FaultInjector>>,
+    /// The normalizer every decode group (and every prefix interning pass)
+    /// clones: the worker's configuration, plan and sink, with fresh anchor
+    /// state and telemetry.
+    normalizer: HaanNormalizer,
 }
 
 impl std::fmt::Debug for ServeEngine {
@@ -374,6 +504,8 @@ impl ServeEngine {
         let prefill_chunk_rows = config.prefill_chunk_rows;
         let prefix_store_capacity = config.prefix_store_capacity;
         let faults = config.faults.clone();
+        let normalizer = build_normalizer(&config);
+        let worker_normalizer = normalizer.clone();
         let worker_shared = Arc::clone(&shared);
         let worker = std::thread::Builder::new()
             .name("haan-serve-worker".to_string())
@@ -390,7 +522,7 @@ impl ServeEngine {
                     }
                 }
                 let _guard = AliveGuard(Arc::clone(&worker_shared.worker_alive));
-                worker_loop(&worker_shared, &rx, &config);
+                worker_loop(&worker_shared, &rx, &config, worker_normalizer);
             })
             .expect("spawn serving worker");
         Self {
@@ -403,6 +535,7 @@ impl ServeEngine {
             prefill_chunk_rows,
             prefixes: haan_llm::PrefixStore::new(prefix_store_capacity),
             faults,
+            normalizer,
         }
     }
 
@@ -545,11 +678,13 @@ impl ServeEngine {
     /// streams that advance in lockstep, one token per stream per
     /// [`DecodeGroup::step_all`](crate::DecodeGroup::step_all) tick. Each tick
     /// gathers every ready stream and runs one incremental pass over the stacked
-    /// rows, so the engine executes **one fused `normalize_matrix_into` call per
-    /// site with one row per stream** — wide batches by construction, where
+    /// rows, so the group's own normalizer executes **one fused call per site
+    /// with one row per stream** — wide batches by construction, where
     /// independent [`ServeEngine::decode_stream`]s only coalesce when their
-    /// client threads happen to overlap. K/V pages come from the engine's shared
-    /// pool; tokens are bit-identical to each stream decoding alone (see
+    /// client threads happen to overlap. The group normalizes on the ticking
+    /// thread, never through the engine worker; each site call still counts in
+    /// [`ServeEngine::stats`]. K/V pages come from the engine's shared pool;
+    /// tokens are bit-identical to each stream decoding alone (see
     /// `tests/kv_decode.rs`).
     ///
     /// # Errors
@@ -566,11 +701,7 @@ impl ServeEngine {
                 "a decode group needs at least one prompt".to_string(),
             ));
         }
-        let pool = self.kv_pool(model.config().embedding_dim);
-        let mut group =
-            crate::DecodeGroup::new(self.session(), &pool, model, prompts, self.admission())?;
-        group.set_prefill_chunk_rows(self.prefill_chunk_rows);
-        Ok(group)
+        self.new_group(model, prompts)
     }
 
     /// Starts a decode group with **no streams**: the routing-tier entry
@@ -588,9 +719,23 @@ impl ServeEngine {
         &self,
         model: &'m haan_llm::TransformerModel,
     ) -> Result<crate::DecodeGroup<'m>, ServeError> {
+        self.new_group(model, &[])
+    }
+
+    fn new_group<'m>(
+        &self,
+        model: &'m haan_llm::TransformerModel,
+        prompts: &[&[u32]],
+    ) -> Result<crate::DecodeGroup<'m>, ServeError> {
         let pool = self.kv_pool(model.config().embedding_dim);
-        let mut group =
-            crate::DecodeGroup::new(self.session(), &pool, model, &[], self.admission())?;
+        let mut group = crate::DecodeGroup::new(
+            Arc::clone(&self.shared),
+            self.normalizer.clone(),
+            &pool,
+            model,
+            prompts,
+            self.admission(),
+        )?;
         group.set_prefill_chunk_rows(self.prefill_chunk_rows);
         Ok(group)
     }
@@ -610,7 +755,7 @@ impl ServeEngine {
     /// Interns the whole-page prefix of `tokens` for `model`, returning the
     /// engine-wide shared handle. Content-equal prefixes (same model, same
     /// leading tokens) always return the same `Arc`: the first call prefills
-    /// the shared rows once through a fresh session and exports their K/V
+    /// the shared rows once on a fresh normalizer and exports their K/V
     /// pages ([`DecodeContext::export_prefix`](haan_llm::DecodeContext::export_prefix));
     /// every later call — and every stream attached via
     /// [`DecodeGroup::add_stream_with_prefix`](crate::DecodeGroup::add_stream_with_prefix)
@@ -655,16 +800,21 @@ impl ServeEngine {
             }
             return Ok(existing);
         }
-        // Miss: materialize outside the store lock (the prefill blocks on the
-        // worker). A racing thread may intern the same prefix meanwhile; the
-        // insert below keeps the store canonical and drops our duplicate
-        // (releasing its pages).
-        let mut session = self.session();
+        // Miss: materialize outside the store lock. A racing thread may intern
+        // the same prefix meanwhile; the insert below keeps the store canonical
+        // and drops our duplicate (releasing its pages).
+        let mut normalizer = self.normalizer.clone();
         let mut context = model
             .start_decode_in(&pool)
             .map_err(|err| ServeError::InvalidRequest(err.to_string()))?;
         context
-            .prefill_last(shared_tokens, &mut session)
+            .prefill_last(
+                shared_tokens,
+                &mut RecordedNormalizer {
+                    normalizer: &mut normalizer,
+                    shared: &self.shared,
+                },
+            )
             .map_err(|err| match err {
                 haan_llm::LlmError::KvPoolExhausted {
                     requested_pages,
@@ -791,7 +941,8 @@ impl ServeEngine {
     }
 
     /// Serving statistics accumulated so far (occupancy, queue waits, execution
-    /// cost). Safe to call at any time, including after shutdown.
+    /// cost) over worker batches and decode-group site calls alike. Safe to
+    /// call at any time, including after shutdown.
     #[must_use]
     pub fn stats(&self) -> ServingStats {
         self.shared.recorder.stats()
@@ -815,14 +966,24 @@ impl Drop for ServeEngine {
     }
 }
 
-fn worker_loop(shared: &Shared, rx: &mpsc::Receiver<WorkItem>, config: &ServeConfig) {
+/// Builds a normalizer from the engine configuration: its HAAN config, its
+/// plan, and its sink, which receives per-site skip/exact decisions (no-op
+/// when none is installed).
+fn build_normalizer(config: &ServeConfig) -> HaanNormalizer {
     let mut normalizer = HaanNormalizer::new(config.normalizer.clone());
     if let Some(plan) = config.plan {
         normalizer = normalizer.with_plan(plan);
     }
-    // The shared normalizer reports per-site skip/exact decisions into the
-    // engine's sink (no-op when none is installed).
     normalizer.set_obs_sink(config.obs.clone());
+    normalizer
+}
+
+fn worker_loop(
+    shared: &Shared,
+    rx: &mpsc::Receiver<WorkItem>,
+    config: &ServeConfig,
+    mut normalizer: HaanNormalizer,
+) {
     let mut scheduler: Scheduler<WorkItem> = Scheduler::new(config.scheduler);
     // Monotone batch-attempt counter, fed to the fault injector.
     let mut attempt_index: u64 = 0;
@@ -1076,9 +1237,6 @@ fn execute_batch(shared: &Shared, normalizer: &mut HaanNormalizer, batch: ReadyB
     let started = Instant::now();
     normalizer.normalize_matrix_into(site, &input, params.gamma(), params.beta(), &mut out);
     let exec_ns = ns_since(started);
-    if let Some(obs) = obs {
-        obs.record("serve.phase.normalize_ns", exec_ns);
-    }
 
     // A snapshot is taken only where the site produced fresh anchors.
     let snapshot = is_anchor.then(|| normalizer.anchor_state());
@@ -1089,28 +1247,7 @@ fn execute_batch(shared: &Shared, normalizer: &mut HaanNormalizer, batch: ReadyB
         .iter()
         .map(|entry| dispatched_us.saturating_sub(entry.enqueued_us))
         .collect();
-    shared.recorder.record_batch(
-        batch.entries.len() as u64,
-        rows as u64,
-        (rows * cols) as u64,
-        exec_ns,
-        queue_waits.iter().copied(),
-    );
-    if let Some(obs) = obs {
-        obs.counter_add("serve.batches", 1);
-        obs.counter_add("serve.requests", batch.entries.len() as u64);
-        obs.counter_add("serve.rows", rows as u64);
-        for &wait in &queue_waits {
-            obs.record("serve.queue_wait_us", wait);
-        }
-    }
-    shared.emit(
-        None,
-        EventKind::BatchDispatch {
-            requests: batch.entries.len() as u64,
-            rows: rows as u64,
-        },
-    );
+    shared.record_dispatch(rows, cols, exec_ns, &queue_waits);
     let scatter_started = obs.map(|_| Instant::now());
     // Scatter: per-request row segments plus, at anchor sites, each session's
     // slice of the observed anchors (last-row-wins scalar tier, the same rule the

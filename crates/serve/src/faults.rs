@@ -11,9 +11,18 @@
 //!   [`LlmError::KvPoolExhausted`](haan_llm::LlmError) exactly as if the pool
 //!   were full, which exercises preemption/resume and retry-rollback paths;
 //! * **worker batches** — [`FaultInjector::on_worker_batch`] is consulted
-//!   before every batched normalization pass; it can slow the batch, fail it
-//!   (exercising the worker's bounded backoff-retry), or kill the worker
-//!   thread outright (exercising dead-worker detection).
+//!   before every batched normalization pass of the engine worker; it can
+//!   slow the batch, fail it (exercising the worker's bounded backoff-retry),
+//!   or kill the worker thread outright (exercising dead-worker detection).
+//!
+//! Worker-batch faults reach only the row-request API
+//! ([`Session::normalize`](crate::Session::normalize),
+//! [`ServeEngine::submit`](crate::ServeEngine::submit),
+//! [`DecodeStream`](crate::DecodeStream)). A
+//! [`DecodeGroup`](crate::DecodeGroup) normalizes on its own normalizer and
+//! never touches the worker, so group ticks see pool-allocation faults only —
+//! drawn on the ticking thread in tick order, so still seed-reproducible —
+//! and keep ticking after a worker kill.
 //!
 //! [`SeededFaults`] is the stock deterministic implementation: a [`FaultPlan`]
 //! of probabilities and budgets driven by two independent seeded ChaCha12

@@ -34,7 +34,10 @@
 //!   lockstep through one incremental pass, so each normalization site executes
 //!   as **one fused call carrying one row per stream** — guaranteed batching
 //!   width, where independent streams only coalesce when their threads happen to
-//!   overlap. The group is *continuously batched*: prompts join mid-flight
+//!   overlap. Each group owns a [`HaanNormalizer`](haan::HaanNormalizer) built
+//!   from the engine's configuration and calls it directly on the ticking
+//!   thread, bypassing the worker; its site calls still count in
+//!   [`ServeEngine::stats`]. The group is *continuously batched*: prompts join mid-flight
 //!   ([`DecodeGroup::add_stream`]) and backfill retired slots, long prompts
 //!   prefill in bounded chunks stacked into the same batched passes as the
 //!   decode rows ([`ServeConfig::prefill_chunk_rows`]), and streams with a
@@ -112,7 +115,7 @@
 //! let mut engine = ServeEngine::start(ServeConfig::default());
 //! let prompts: [&[u32]; 2] = [&[1, 5, 9], &[2, 4]];
 //! let mut group = engine.decode_group(&model, &prompts)?;
-//! group.decode(3)?; // 3 ticks × 2 streams, one fused request per site per tick
+//! group.decode(3)?; // 3 ticks × 2 streams, one fused call per site per tick
 //! assert_eq!(group.generated(0).len(), 3);
 //! assert_eq!(group.generated(1).len(), 3);
 //! engine.shutdown();

@@ -1,5 +1,5 @@
 //! Batched multi-stream decode: many KV-cached streams advanced in lockstep
-//! through one engine session, with admission control and preempt/resume.
+//! on one group-owned normalizer, with admission control and preempt/resume.
 //!
 //! A single [`DecodeStream`](crate::DecodeStream) submits one **single-row**
 //! normalization request per site per token; the scheduler only widens the batch
@@ -7,11 +7,15 @@
 //! [`DecodeGroup`] removes the luck: each [`DecodeGroup::step_all`] tick gathers
 //! every ready stream and advances them through
 //! [`TransformerModel::advance_many`] — one incremental pass over the stacked
-//! rows, so the engine worker executes **one fused `normalize_matrix_into`
-//! call per normalization site carrying every stream's rows**. Attention stays
-//! per-stream (each row attends against its own paged K/V cache); every
-//! row-local stage (both norm sites per block, the MLPs, the final norm, the
-//! logit projection) runs batched.
+//! rows, so the group's normalizer executes **one fused call per
+//! normalization site carrying every stream's rows**. The group calls its own
+//! [`HaanNormalizer`] directly on the ticking thread: a site pays no request
+//! copy, channel hop or coalescing wait, and the fused residual+norm and
+//! norm+matmul kernels run inside the tick. Each site call is still recorded
+//! in the engine's ledger ([`ServeEngine::stats`](crate::ServeEngine::stats))
+//! as one dispatch. Attention stays per-stream (each row attends against its
+//! own paged K/V cache); every row-local stage (both norm sites per block, the
+//! MLPs, the final norm, the logit projection) runs batched.
 //!
 //! # Continuous batching
 //!
@@ -59,9 +63,9 @@
 //! anchors stream `s` would see solo (`tests/kv_decode.rs`).
 
 use crate::admission::{AdmissionController, AdmissionDecision};
-use crate::engine::ns_since;
+use crate::engine::{ns_since, RecordedNormalizer, Shared};
 use crate::error::ServeError;
-use crate::session::Session;
+use haan::{HaanNormalizer, NormalizerTelemetry};
 use haan_llm::{DecodeContext, EvictionPolicy, KvBlockPool, KvPrefix, LlmError, TransformerModel};
 use haan_obs::EventKind;
 use std::sync::Arc;
@@ -231,8 +235,8 @@ impl GroupStream<'_> {
     }
 }
 
-/// A set of KV-cached greedy decode streams advanced in lockstep through one
-/// [`ServeEngine`](crate::ServeEngine) session.
+/// A set of KV-cached greedy decode streams advanced in lockstep on one
+/// group-owned normalizer.
 ///
 /// Created by [`ServeEngine::decode_group`](crate::ServeEngine::decode_group).
 /// Each [`DecodeGroup::step_all`] tick retires streams at capacity, resumes
@@ -242,15 +246,15 @@ impl GroupStream<'_> {
 /// sequence length stop contributing rows — their slots report `None` — and
 /// streams queued, shed, or cancelled report `None` until (unless) they
 /// activate. See the [module docs](self) for the overload lifecycle.
-///
-/// # Panics
-///
-/// Like every [`Session`]-driven forward pass, a tick panics with a descriptive
-/// message if the engine shuts down mid-pass.
 #[derive(Debug)]
 pub struct DecodeGroup<'m> {
     model: &'m TransformerModel,
-    session: Session,
+    /// The group's own normalizer: every site of every tick runs on it
+    /// directly, built from the engine's configuration, plan and sink.
+    normalizer: HaanNormalizer,
+    /// The engine state the group reports into: clock, sink, correlation
+    /// IDs, and the serving ledger.
+    shared: Arc<Shared>,
     streams: Vec<GroupStream<'m>>,
     pool: Arc<KvBlockPool>,
     admission: Arc<AdmissionController>,
@@ -263,7 +267,8 @@ pub struct DecodeGroup<'m> {
 
 impl<'m> DecodeGroup<'m> {
     /// Builds a group of `prompts.len()` streams whose K/V pages come from
-    /// `pool`, whose normalization runs through `session`, and whose admission
+    /// `pool`, whose normalization runs on `normalizer` (recorded in
+    /// `shared`'s ledger), and whose admission
     /// is decided by `admission`: each prompt is offered in order, with
     /// already-accepted prompts' page estimates counting against the
     /// watermark, so an oversubscribed construction queues (and eventually
@@ -276,7 +281,8 @@ impl<'m> DecodeGroup<'m> {
     /// not match the model. Overload is **not** an error: shed slots come back
     /// as [`StreamStatus::Shed`] and simply never decode.
     pub(crate) fn new(
-        session: Session,
+        shared: Arc<Shared>,
+        normalizer: HaanNormalizer,
         pool: &Arc<KvBlockPool>,
         model: &'m TransformerModel,
         prompts: &[&[u32]],
@@ -284,7 +290,6 @@ impl<'m> DecodeGroup<'m> {
     ) -> Result<Self, ServeError> {
         let invalid = |err: LlmError| ServeError::InvalidRequest(err.to_string());
         let blocks = model.config().num_blocks;
-        let shared = Arc::clone(session.shared());
         let mut stats = GroupStats::default();
         let mut streams = Vec::with_capacity(prompts.len());
         // Pages spoken for by prompts accepted earlier in this construction
@@ -336,7 +341,8 @@ impl<'m> DecodeGroup<'m> {
         }
         Ok(Self {
             model,
-            session,
+            normalizer,
+            shared,
             streams,
             pool: Arc::clone(pool),
             admission,
@@ -370,10 +376,11 @@ impl<'m> DecodeGroup<'m> {
         self.model
     }
 
-    /// The group's engine session (e.g. to inspect its skip-anchor state).
+    /// What the group's normalizer has done so far: site calls, skipped and
+    /// subsampled ISDs, and elements read by the statistics path.
     #[must_use]
-    pub fn session(&self) -> &Session {
-        &self.session
+    pub fn telemetry(&self) -> NormalizerTelemetry {
+        self.normalizer.telemetry()
     }
 
     /// Number of member streams (shed slots included).
@@ -596,7 +603,7 @@ impl<'m> DecodeGroup<'m> {
             .iter()
             .filter(|s| matches!(s.status, StreamStatus::Queued))
             .count();
-        let shared = Arc::clone(self.session.shared());
+        let shared = Arc::clone(&self.shared);
         let corr = shared.next_corr();
         shared.emit(
             Some(corr),
@@ -663,8 +670,7 @@ impl<'m> DecodeGroup<'m> {
             return false;
         }
         self.streams[index].park();
-        self.session
-            .shared()
+        self.shared
             .emit(Some(self.streams[index].corr), EventKind::Preempt);
         self.stats.preemptions += 1;
         self.stats.leaves += 1;
@@ -686,12 +692,12 @@ impl<'m> DecodeGroup<'m> {
                 if matches!(stream.status, StreamStatus::Active) {
                     self.stats.leaves += 1;
                 }
-                stream.context.reset();
+                stream.context.release();
                 stream.parked_resident = None;
-                stream.catchup.clear();
+                stream.catchup = Vec::new();
                 stream.status = StreamStatus::Cancelled;
                 let corr = stream.corr;
-                self.session.shared().emit(Some(corr), EventKind::Cancel);
+                self.shared.emit(Some(corr), EventKind::Cancel);
                 true
             }
             StreamStatus::Finished
@@ -741,7 +747,7 @@ impl<'m> DecodeGroup<'m> {
         }
         let stream = &mut self.streams[index];
         let eviction = stream.context.eviction();
-        stream.context.reset();
+        stream.context.release();
         let parked_resident = stream.parked_resident.take();
         // A never-parked stream carries no K/V state; any rows it had fed
         // (a prefix attachment) are gone with the old pool, so the whole
@@ -823,15 +829,14 @@ impl<'m> DecodeGroup<'m> {
     /// Retires active streams that can no longer accept a token, releasing
     /// their pool pages (windowed streams evict instead of finishing).
     fn finish_exhausted_streams(&mut self) {
-        let shared = Arc::clone(self.session.shared());
         for stream in &mut self.streams {
             if matches!(stream.status, StreamStatus::Active)
                 && stream.context.remaining_capacity() == 0
                 && !stream.is_windowed()
             {
-                stream.context.reset();
+                stream.context.release();
                 stream.status = StreamStatus::Finished;
-                shared.emit(
+                self.shared.emit(
                     Some(stream.corr),
                     EventKind::Finish {
                         generated: (stream.tokens.len() - stream.prompt_len) as u64,
@@ -872,7 +877,7 @@ impl<'m> DecodeGroup<'m> {
     ) -> Result<(), LlmError> {
         let page_rows = self.pool.page_rows();
         let blocks = self.model.config().num_blocks;
-        let shared = Arc::clone(self.session.shared());
+        let shared = Arc::clone(&self.shared);
         for (index, slot) in results.iter_mut().enumerate() {
             if !matches!(self.streams[index].status, StreamStatus::Queued) {
                 continue;
@@ -884,7 +889,11 @@ impl<'m> DecodeGroup<'m> {
                 continue;
             }
             let stream = &mut self.streams[index];
-            match stream.context.prefill_last(&feed, &mut self.session) {
+            let mut normalizer = RecordedNormalizer {
+                normalizer: &mut self.normalizer,
+                shared: &shared,
+            };
+            match stream.context.prefill_last(&feed, &mut normalizer) {
                 Ok(logits) => {
                     let resumed = stream.parked_resident.take().is_some();
                     stream.fed = stream.tokens.len();
@@ -941,7 +950,7 @@ impl<'m> DecodeGroup<'m> {
     fn activate_queued_streams(&mut self) {
         let page_rows = self.pool.page_rows();
         let blocks = self.model.config().num_blocks;
-        let shared = Arc::clone(self.session.shared());
+        let shared = Arc::clone(&self.shared);
         for index in 0..self.streams.len() {
             if !matches!(self.streams[index].status, StreamStatus::Queued) {
                 continue;
@@ -1023,7 +1032,7 @@ impl<'m> DecodeGroup<'m> {
     pub fn step_all(&mut self) -> Result<Vec<Option<u32>>, LlmError> {
         self.stats.ticks += 1;
         let tick = self.stats.ticks;
-        let shared = Arc::clone(self.session.shared());
+        let shared = Arc::clone(&self.shared);
         let mut results = vec![None; self.streams.len()];
         self.finish_exhausted_streams();
         if self.prefill_chunk_rows == 0 {
@@ -1070,13 +1079,17 @@ impl<'m> DecodeGroup<'m> {
                 .map(|(_, stream)| &mut stream.context)
                 .collect();
             // Span profiling: the advance clock runs only with a sink
-            // installed. The measured span covers attention + MLP + logits
-            // model-side; the normalization phase inside it is timed
-            // separately by the engine worker (`serve.phase.normalize_ns`).
+            // installed. The measured span covers the whole pass; each
+            // normalization site inside it is also timed on its own
+            // (`serve.phase.normalize_ns`).
             let advance_started = shared.obs().map(|_| Instant::now());
+            let mut normalizer = RecordedNormalizer {
+                normalizer: &mut self.normalizer,
+                shared: &shared,
+            };
             match self
                 .model
-                .advance_many(&mut contexts, &feed_refs, &mut self.session)
+                .advance_many(&mut contexts, &feed_refs, &mut normalizer)
             {
                 Ok(logits) => {
                     if let (Some(obs), Some(t)) = (shared.obs(), advance_started) {
@@ -1210,7 +1223,10 @@ mod tests {
         assert_eq!(stats.ticks, TICKS as u64);
         // Lockstep ticks carry one row per stream: rows/batch must exceed 1.
         assert!(engine.stats().mean_batch_occupancy_rows() > 1.0);
-        let _ = group.session().anchor_state();
+        assert!(
+            group.telemetry().calls > 0,
+            "ticks run on the group's normalizer"
+        );
         engine.shutdown();
     }
 

@@ -48,12 +48,6 @@ impl Session {
         }
     }
 
-    /// The engine state this session is bound to (clock, sink, correlation
-    /// IDs) — how decode groups reach the engine's observability seam.
-    pub(crate) fn shared(&self) -> &Arc<Shared> {
-        &self.shared
-    }
-
     /// Sets (or clears) a per-request timeout: every subsequent submission
     /// carries `now + timeout` as its [`NormRequest::deadline_us`], so a
     /// request stuck behind slow batches resolves to

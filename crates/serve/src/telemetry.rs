@@ -5,6 +5,11 @@ use std::sync::{Mutex, MutexGuard};
 
 /// Aggregated serving statistics, snapshotted by
 /// [`ServeEngine::stats`](crate::ServeEngine::stats).
+///
+/// One ledger for both normalization paths: the worker records each
+/// coalesced batch, and a [`DecodeGroup`](crate::DecodeGroup) records each
+/// site call as a batch of one request with zero queue wait (its exec time
+/// includes the fused matmuls at norm→matmul sites).
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct ServingStats {
     /// Requests answered.
@@ -31,7 +36,7 @@ pub struct ServingStats {
 
 impl ServingStats {
     /// Mean requests coalesced per dispatched batch (> 1 means the scheduler is
-    /// actually batching concurrent clients).
+    /// actually batching concurrent clients; decode-group dispatches count 1).
     #[must_use]
     pub fn mean_batch_occupancy_requests(&self) -> f64 {
         if self.batches == 0 {

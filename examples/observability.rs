@@ -3,7 +3,10 @@
 //! Runs the same oversubscribed, fault-injected decode drill as
 //! `examples/chaos.rs` — 8 prompts against a pool sized for 2, chunked
 //! prefill, seeded mid-tick exhaustions — but with an [`haan_obs::Obs`] sink
-//! installed on the engine. Afterwards it dumps the metric registry (JSON and
+//! installed on the engine, followed by a few row requests from a client
+//! session (the engine worker's path: decode groups normalize on their own
+//! normalizer, so the worker's gather/scatter phases and its seeded slow-batch
+//! faults only show on row requests). Afterwards it dumps the metric registry (JSON and
 //! Prometheus renderings of the same [`haan_obs::ObsSnapshot`]) and replays
 //! one preempted stream's full lifecycle from the flight recorder alone, then
 //! asserts the key signals are present: batches and phase timings were
@@ -14,7 +17,8 @@
 //! Run with: `cargo run --release --example observability`
 
 use haan::{BackendSelection, HaanConfig};
-use haan_llm::{LlmError, ModelConfig, TransformerModel};
+use haan_llm::norm::NormSite;
+use haan_llm::{LlmError, Matrix, ModelConfig, NormKind, TransformerModel};
 use haan_obs::{Obs, ObsSink, ObsSnapshot};
 use haan_serve::{
     AdmissionPolicy, FaultInjector, FaultPlan, KvPoolPolicy, SeededFaults, ServeConfig,
@@ -91,6 +95,22 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     assert!(stats.shed > 0, "the drill must shed under 4x overload");
     assert!(stats.preemptions > 0, "the drill must preempt");
     assert!(faults.injected().exhaustions > 0, "the injector must fire");
+
+    // ---- A row-request client on the same engine: the worker's path. ----
+    let mut session = engine.session();
+    let width = config.embedding_dim;
+    let rows = Matrix::from_vec(
+        2,
+        width,
+        (0..2 * width).map(|i| (i % 7) as f32 - 3.0).collect(),
+    )?;
+    let site = NormSite {
+        layer_index: 0,
+        kind: NormKind::LayerNorm,
+    };
+    for _ in 0..8 {
+        session.normalize(site, &rows, &vec![1.0; width], &vec![0.0; width])?;
+    }
 
     // ---- The registry: one export, two renderings, lossless round-trip. ----
     let snapshot = obs.export();

@@ -506,6 +506,66 @@ fn a_killed_worker_leaves_no_hung_clients() {
 }
 
 #[test]
+fn decode_groups_outlive_a_killed_worker() {
+    // Group ticks normalize on the group's own normalizer, not on the engine
+    // worker: once one row request has killed the worker, a decode group on
+    // the same engine still ticks to oracle-identical tokens, and its site
+    // calls still land in the engine's ledger.
+    use haan::AnchorState;
+    use haan_llm::norm::NormSite;
+    use haan_llm::NormKind;
+    use haan_serve::NormRequest;
+    let model = model();
+    let mut engine = ServeEngine::start(ServeConfig {
+        normalizer: fused(),
+        faults: Some(Arc::new(SeededFaults::new(
+            1,
+            FaultPlan {
+                panic_at_batch: Some(0),
+                ..Default::default()
+            },
+        ))),
+        ..Default::default()
+    });
+    let pending = engine
+        .submit(NormRequest {
+            site: NormSite {
+                layer_index: 0,
+                kind: NormKind::LayerNorm,
+            },
+            cols: 4,
+            data: vec![1.0, 2.0, 3.0, 4.0],
+            params: engine.intern_params(&[1.0; 4], &[0.0; 4]),
+            anchors: AnchorState::new(),
+            deadline_us: None,
+        })
+        .expect("worker still looks alive");
+    assert!(matches!(pending.wait(), Err(ServeError::WorkerDied)));
+    assert!(!engine.worker_is_alive());
+
+    let prompts: [&[u32]; 3] = [&[2, 9, 4], &[1, 7], &[5, 5, 5, 5]];
+    let mut group = engine.decode_group(&model, &prompts).expect("admitted");
+    const TICKS: usize = 5;
+    assert_eq!(group.decode(TICKS).expect("ticks survive"), 3 * TICKS);
+    for (i, prompt) in prompts.iter().enumerate() {
+        let mut oracle = StreamingModel::new_full_recompute(&model, prompt).expect("oracle");
+        let expected = oracle
+            .decode(TICKS, &mut ReferenceNormalizer::new())
+            .expect("oracle decode");
+        assert_eq!(group.generated(i), expected.as_slice(), "stream {i}");
+    }
+    let stats = engine.stats();
+    assert!(stats.batches > 0, "group dispatches are recorded");
+    assert_eq!(
+        stats.requests, stats.batches,
+        "one request per group dispatch"
+    );
+    assert_eq!(stats.p99_queue_wait_us, 0, "group dispatches never queue");
+    drop(group);
+    engine.shutdown();
+}
+
+#[test]
 fn slow_batches_delay_but_never_hang_or_corrupt() {
     // Injected latency on every early batch: decode through the engine still
     // completes with bit-identical tokens — slowness is survivable, silence
